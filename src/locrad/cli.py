@@ -110,12 +110,15 @@ def write_csv(path: str, config: dict, columns: list[str], rows) -> None:
         handle.write("\n".join(out) + "\n")
 
 
-def write_json(path: str, payload: dict) -> None:
+def _json_text(payload: dict) -> str:
     payload = dict(payload)
     payload["version"] = __version__
+    return json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as handle:
-        json.dump(_plain(payload), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(_json_text(payload))
 
 
 def _plain(obj):
@@ -349,12 +352,16 @@ def _echo(config: RunConfig) -> dict:
 
 def _emit(config: RunConfig, columns, rows, payload) -> None:
     out = config.get("out")
+    as_csv = config.get("format", "csv") == "csv"
     if out is None:
-        text = ",".join(columns) + "\n"
-        text += "\n".join(",".join(_fmt(c) for c in row) for row in rows)
-        sys.stdout.write(text + "\n")
+        if as_csv:
+            text = ",".join(columns) + "\n"
+            text += "\n".join(",".join(_fmt(c) for c in row) for row in rows)
+            sys.stdout.write(text + "\n")
+        else:
+            sys.stdout.write(_json_text(payload))
         return
-    if config.get("format", "csv") == "csv":
+    if as_csv:
         write_csv(out, _echo(config), columns, rows)
     else:
         write_json(out, payload)

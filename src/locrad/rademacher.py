@@ -13,7 +13,6 @@ estimate, up to a tail probability of 2 N exp(-n eps / 2).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,14 +182,12 @@ class LocalNormEvaluator:
     """Supremum of |n^{-1} sum_i eps_i v_i| over vectors with mean <= r.
 
     One instance is built per (restriction, draw) pair; repeated radius
-    queries reuse the precomputed structure.  Three routes:
+    queries reuse the precomputed structure.  Two routes:
 
     - explicit vectors: one signed score per vector, linear scan;
-    - interval runs (empty target): sliding window of at most floor(r n)
-      points over the sorted sign prefix sums, monotone queues, O(n);
-    - interval symmetric differences (general target): one O(n^2) scan
-      over all run/target symmetric differences, folded into a table of
-      running maxima indexed by point count, O(1) per radius after that.
+    - interval restrictions (runs of tie groups, XOR-ed with a target run
+      that may be empty): `_IntervalKernel`, O(m) to build over the m tie
+      groups and O(m log m) per radius.
 
     All intermediate sums are integers, so every route returns bit-equal
     results to exhaustive enumeration over the materialized vectors.
@@ -203,117 +200,127 @@ class LocalNormEvaluator:
                 f"{restriction.n} points"
             )
         self.n = restriction.n
-        self._mode = restriction.fast_path or "vectors"
+        self._kernel = None
         if restriction.vectors is not None:
-            self._mode = "vectors"
             vec = restriction.vectors
             self._means = vec.mean(axis=1)
             self._scores = np.abs(vec @ draw.signs.astype(float)) / self.n
-        elif restriction.fast_path == FAST_PATH_RUNS:
-            sorted_signs = draw.signs[restriction.sort_order]
-            prefix_all = np.concatenate(([0], np.cumsum(sorted_signs)))
-            self._cum = restriction.group_cum.tolist()
-            self._prefix = prefix_all[restriction.group_cum].tolist()
-        elif restriction.fast_path == FAST_PATH_SYMDIFF:
-            self._table = _symdiff_score_table(restriction, draw)
+        elif restriction.fast_path in (FAST_PATH_RUNS, FAST_PATH_SYMDIFF):
+            self._kernel = _IntervalKernel(restriction, draw)
         else:
             raise ValueError(f"unknown fast path {restriction.fast_path!r}")
 
     def norm(self, radius: float) -> float:
         if radius < 0.0:
             raise ValueError("ball radius must be nonnegative")
-        if self._mode == "vectors":
+        if self._kernel is None:
             mask = self._means <= radius
             if not mask.any():
                 return 0.0  # empty ball: sup over the empty set is 0
             return float(self._scores[mask].max())
-        budget = _point_budget(radius, self.n)
-        if self._mode == FAST_PATH_SYMDIFF:
-            best = self._table[min(budget, self.n)]
-            return float(best) / self.n if best >= 0 else 0.0
-        return _window_max_abs(self._prefix, self._cum, budget) / self.n
+        best = self._kernel.max_abs_sum(_point_budget(radius, self.n))
+        return float(best) / self.n
 
 
-def _window_max_abs(prefix: list[int], cum: list[int], budget: int) -> int:
-    """Max |prefix[b] - prefix[a]| over group windows of <= budget points."""
-    if budget <= 0:
-        return 0
-    m = len(cum) - 1
-    best = 0
-    lo = 0
-    max_q: deque[int] = deque()
-    min_q: deque[int] = deque()
-    for b in range(1, m + 1):
-        a = b - 1
-        pa = prefix[a]
-        while max_q and prefix[max_q[-1]] <= pa:
-            max_q.pop()
-        max_q.append(a)
-        while min_q and prefix[min_q[-1]] >= pa:
-            min_q.pop()
-        min_q.append(a)
-        cb = cum[b]
-        while cb - cum[lo] > budget:
-            lo += 1
-        if lo > a:
-            continue  # even the single group at b exceeds the budget
-        while max_q[0] < lo:
-            max_q.popleft()
-        while min_q[0] < lo:
-            min_q.popleft()
-        pb = prefix[b]
-        gain = pb - prefix[min_q[0]]
-        drop = prefix[max_q[0]] - pb
-        if gain > best:
-            best = gain
-        if drop > best:
-            best = drop
-    return best
+class _IntervalKernel:
+    """Max |signed point sum| over run-XOR-target vectors within a point budget.
 
+    Tie group g has c_g points and sign sum s_g.  Weighting it by f_g = -1
+    inside the target run [p, q] and +1 outside, the run over groups
+    [a, b) XOR the target has |T| + W[b] - W[a] points and signed sum
+    S_T + A[b] - A[a], where W and A are the prefix sums of c_g f_g and
+    s_g f_g, and a = b is the empty run.  The query maximizes
+    |S_T + A[b] - A[a]| over a <= b with W[b] - W[a] <= budget - |T|.
 
-_SYMDIFF_BLOCK = 256
-
-
-def _symdiff_score_table(restriction: SampledRestriction, draw: RademacherDraw) -> np.ndarray:
-    """Running max of |signed sum| over symmetric differences, by count.
-
-    table[c] = max over candidate vectors with at most c nonzero points of
-    the absolute signed point sum (-1 where no candidate exists, which
-    cannot happen at c >= count(zero vector) = 0).
+    W rises strictly on L = [0, p], falls on I = [p, q+1] and rises on
+    R = [q+1, m], so for each b the feasible a form an interval found by
+    one searchsorted: a window ending at b inside L or inside R, a suffix
+    of L (b >= p), or a prefix of I (b >= p).  The empty target is
+    p = q+1 = m, where L is everything.  Length-constrained heaviest
+    segments, after Lin, Jiang & Chao (JCSS 65, 2002).
     """
-    n = restriction.n
-    cum = restriction.group_cum.astype(np.int64)
-    m = len(cum) - 1
-    sorted_signs = draw.signs[restriction.sort_order]
-    sign_prefix = np.concatenate(([0], np.cumsum(sorted_signs)))[cum]
-    p, q = restriction.target_run if restriction.target_run is not None else (0, -1)
-    count_t = int(cum[q + 1] - cum[p]) if q >= p else 0
-    signed_t = int(sign_prefix[q + 1] - sign_prefix[p]) if q >= p else 0
 
-    table = np.full(n + 1, -1, dtype=np.int64)
-    table[count_t] = abs(signed_t)  # the empty run
+    def __init__(self, restriction: SampledRestriction, draw: RademacherDraw):
+        cum = restriction.group_cum.astype(np.int64)
+        m = len(cum) - 1
+        sign_cum = np.concatenate(([0], np.cumsum(draw.signs[restriction.sort_order])))[cum]
+        p, q = restriction.target_run if restriction.target_run is not None else (m, m - 1)
+        weight = np.ones(m, dtype=np.int64)
+        weight[p:q + 1] = -1
+        self._w = np.concatenate(([0], np.cumsum(np.diff(cum) * weight)))
+        self._a = np.concatenate(([0], np.cumsum(np.diff(sign_cum) * weight)))
+        self._count_t = int(cum[q + 1] - cum[p])
+        self._sum_t = int(sign_cum[q + 1] - sign_cum[p])
+        self._p, self._r = p, q + 1
+        a_left = self._a[:p + 1][::-1]
+        self._left_min = np.minimum.accumulate(a_left)[::-1]
+        self._left_max = np.maximum.accumulate(a_left)[::-1]
+        self._inside_min = np.minimum.accumulate(self._a[p:q + 2])
+        self._inside_max = np.maximum.accumulate(self._a[p:q + 2])
+        self._neg_w_inside = -self._w[p:q + 2]
 
-    j_all = np.arange(m, dtype=np.int64)
-    for i0 in range(0, m, _SYMDIFF_BLOCK):
-        i1 = min(i0 + _SYMDIFF_BLOCK, m)
-        i_block = np.arange(i0, i1, dtype=np.int64)
-        reps = m - i_block
-        i_idx = np.repeat(i_block, reps)
-        offsets = np.concatenate([j_all[i:m] for i in i_block])
-        j_idx = offsets
-        cnt_run = cum[j_idx + 1] - cum[i_idx]
-        sgn_run = sign_prefix[j_idx + 1] - sign_prefix[i_idx]
-        lo = np.maximum(i_idx, p)
-        hi = np.minimum(j_idx, q)
-        overlap = lo <= hi
-        cnt_int = np.where(overlap, cum[np.minimum(hi + 1, m)] - cum[np.minimum(lo, m)], 0)
-        sgn_int = np.where(
-            overlap, sign_prefix[np.minimum(hi + 1, m)] - sign_prefix[np.minimum(lo, m)], 0
-        )
-        cnt = cnt_run + count_t - 2 * cnt_int
-        sgn = np.abs(sgn_run + signed_t - 2 * sgn_int)
-        np.maximum.at(table, cnt, sgn)
-    return np.maximum.accumulate(table)
+    def max_abs_sum(self, budget: int) -> int:
+        slack = budget - self._count_t
+        w, a, p, r = self._w, self._a, self._p, self._r
+        found = []  # per case: (max A[b] - min A[a], max A[a] - A[b]) over feasible pairs
+        a_tail = a[p:]
+        # a in L, b >= p: W[a] >= W[b] - slack holds on a suffix of L
+        lo = np.searchsorted(w[:p + 1], w[p:] - slack, side="left")
+        ok = lo <= p
+        if ok.any():
+            found.append(_extremes(a_tail[ok], self._left_min[lo[ok]], self._left_max[lo[ok]]))
+        # a in I, p <= a <= b: W[a] >= W[b] - slack holds on a prefix of I
+        hi = np.searchsorted(self._neg_w_inside, slack - w[p:], side="right") - 1
+        hi = np.minimum(hi, np.arange(len(hi)))
+        ok = hi >= 0
+        if ok.any():
+            found.append(_extremes(a_tail[ok], self._inside_min[hi[ok]], self._inside_max[hi[ok]]))
+        if slack >= 0:
+            # a <= b both in L or both in R: a window ending at b
+            for zone in (slice(0, p + 1), slice(r, None)):
+                w_zone = w[zone]
+                lo = np.searchsorted(w_zone, w_zone - slack, side="left")
+                found.append(_window_extremes(a[zone], lo))
+        if not found:
+            return 0  # no vector fits the budget: sup over the empty set
+        rise, fall = (max(col) for col in zip(*found))
+        return max(self._sum_t + rise, fall - self._sum_t)
+
+
+def _extremes(ends: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> tuple[int, int]:
+    """(max of ends - lows, max of highs - ends) for nonempty aligned arrays."""
+    return int((ends - lows).max()), int((highs - ends).max())
+
+
+#: Windows answered per numpy call, which bounds the temporaries of a query.
+_WINDOW_BLOCK = 1 << 13
+
+
+def _window_extremes(values: np.ndarray, lo: np.ndarray) -> tuple[int, int]:
+    """Max over b of values[b] - min(window) and of max(window) - values[b].
+
+    The window of b is values[lo[b]:b + 1], with lo[b] <= b.  Sparse-table
+    range queries (Bender & Farach-Colton, LATIN 2000) built one doubling
+    level at a time: level k answers the windows of length in [2^k, 2^(k+1))
+    and is then replaced by level k+1, so extra memory stays O(len(values)).
+    """
+    level = np.frexp(np.arange(1, len(lo) + 1) - lo)[1] - 1  # floor(log2(length)), exact
+    rise = fall = 0  # each window holds its own end
+    low = high = values
+    for k in range(int(level.max()) + 1):
+        if k:
+            half = 1 << (k - 1)
+            low = np.minimum(low[:-half], low[half:])
+            high = np.maximum(high[:-half], high[half:])
+        ends = np.flatnonzero(level == k)
+        for start in range(0, len(ends), _WINDOW_BLOCK):
+            b = ends[start:start + _WINDOW_BLOCK]
+            left, right = lo[b], b - (1 << k) + 1
+            r_k, f_k = _extremes(
+                values[b], np.minimum(low[left], low[right]), np.maximum(high[left], high[right])
+            )
+            rise, fall = max(rise, r_k), max(fall, f_k)
+    return rise, fall
 
 
 def local_rademacher_norm(

@@ -37,9 +37,6 @@ TAG_MC = 2
 #: Cells of the exact deviation table grow quadratically in n.
 MAX_EXACT_TABLE_N = 2048
 
-#: Non-empty targets route the norm through the quadratic scan.
-MAX_COVERAGE_N = 4096
-
 
 def derive_seed(master_seed: int, *parts: int) -> int:
     """Stable 64-bit stream seed for (master_seed, replication, purpose)."""
@@ -599,11 +596,13 @@ class ExperimentReport:
 
 
 def _env_workers() -> int:
+    """LOCRAD_THREADS as a worker count in [1, cpu count]; 1 when unset or bad."""
     raw = os.environ.get("LOCRAD_THREADS", "1")
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _run_indexed(task, indices, workers):
@@ -652,11 +651,6 @@ def run_coverage(
     if learner not in ("minimal", "worst"):
         raise ValueError(f"unknown learner {learner!r}")
     dist = dist if dist is not None else DistributionSpec.uniform(1)
-    if target is not None and n > MAX_COVERAGE_N:
-        raise ValueError(
-            f"non-empty targets route through the quadratic scan; n is "
-            f"capped at {MAX_COVERAGE_N}"
-        )
     concept = ConceptClass.intervals()
 
     def one(rep: int) -> ReplicationResult:
@@ -733,8 +727,7 @@ def run_rates(
 
     eps defaults to 2 ln(n) / n per grid point, keeping the epsilon terms
     at the 1/n scale so they do not mask the Rademacher term.  The target
-    defaults to the empty interval, which routes the norm through the
-    linear-time sliding window.  A finite class may be supplied instead
+    defaults to the empty interval.  A finite class may be supplied instead
     via finite_vectors; its first row is used as the target labels.
     """
     from .entropy import rate_exponent_fit

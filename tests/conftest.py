@@ -40,6 +40,40 @@ def brute_local_norm(vectors: np.ndarray, signs: np.ndarray, radius: float) -> f
     return best
 
 
+def brute_symdiff_table(restriction, signs) -> np.ndarray:
+    """table[c] = max |sum signs*v| over run-XOR-target vectors with <= c points.
+
+    Walks every run of tie groups (plus the empty run) of a structured
+    interval restriction, counting points and signed sums from
+    point-level prefix sums; -1 marks budgets below the smallest count.
+    Quadratic in the group count.
+    """
+    n = restriction.n
+    cum = np.asarray(restriction.group_cum, dtype=np.int64)
+    m = len(cum) - 1
+    s = np.asarray(signs, dtype=np.int64)[restriction.sort_order]
+    in_t = np.zeros(n, dtype=np.int64)
+    if restriction.target_run is not None:
+        p, q = restriction.target_run
+        in_t[cum[p]:cum[q + 1]] = 1
+    count_t, sum_t = int(in_t.sum()), int((s * in_t).sum())
+    pre_t = np.concatenate(([0], np.cumsum(in_t)))
+    pre_s = np.concatenate(([0], np.cumsum(s)))
+    pre_st = np.concatenate(([0], np.cumsum(s * in_t)))
+    table = np.full(n + 1, -1, dtype=np.int64)
+    table[count_t] = abs(sum_t)  # the empty run
+    for i in range(m):
+        lo, hi = cum[i], cum[i + 1:]
+        run_count = hi - lo
+        overlap = pre_t[hi] - pre_t[lo]
+        run_sum = pre_s[hi] - pre_s[lo]
+        overlap_sum = pre_st[hi] - pre_st[lo]
+        count = count_t + run_count - 2 * overlap
+        total = sum_t + run_sum - 2 * overlap_sum
+        np.maximum.at(table, count, np.abs(total))
+    return np.maximum.accumulate(table)
+
+
 def brute_interval_deviation(points, target, radius, cdf):
     """Slow exact sup |P_n g - P g| over {g = 1_{C sym-diff target}: Pg <= radius}.
 

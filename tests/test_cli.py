@@ -85,6 +85,20 @@ def test_bound_json_output(tmp_path):
     assert payload["config"]["n"] == 100
 
 
+def test_json_format_without_out_prints_json(tmp_path, capsys):
+    args = ["bound", "--n", "100", "--eps", "0.05", "--seed", "3",
+            "--target", "0.2,0.7", "--constants", "unit", "--format", "json"]
+    out = tmp_path / "trace.json"
+    assert run(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(args) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text()
+    assert json.loads(printed)["config"]["target"] == "0.2,0.7"
+    assert run(args[:-2]) == 0  # the csv default still prints bare rows
+    assert capsys.readouterr().out.startswith("k,r_bar,local_norm\n0,1,")
+
+
 def test_bound_resolves_eps_from_delta(tmp_path):
     out = tmp_path / "trace.json"
     code = run(["bound", "--n", "2000", "--delta", "0.05", "--seed", "7",

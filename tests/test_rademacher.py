@@ -13,6 +13,7 @@ from locrad.classes import (
     reduce_by_labels,
     restrict,
 )
+from locrad import rademacher
 from locrad.rademacher import (
     BoundTrace,
     LocalizationConfig,
@@ -22,10 +23,11 @@ from locrad.rademacher import (
     local_rademacher_norm,
     localize,
     phi_bar,
+    _IntervalKernel,
     risk_bound,
 )
 
-from conftest import brute_local_norm
+from conftest import brute_local_norm, brute_symdiff_table
 
 
 ZERO_ONLY = SampledRestriction(n=4, vectors=np.zeros((1, 4)))
@@ -162,6 +164,64 @@ def test_norm_matches_brute_force_per_path(kind, rng):
         got = local_rademacher_norm(red, d, radius)
         want = brute_local_norm(red.materialize(), d.signs, radius)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def _brute_window(restriction, signs, budget):
+    """Max |signed sum| over runs of tie groups holding at most budget points."""
+    cum = restriction.group_cum
+    prefix = np.concatenate(([0], np.cumsum(signs[restriction.sort_order])))[cum]
+    a, b = np.triu_indices(len(cum))  # a = b is the empty run
+    fits = cum[b] - cum[a] <= budget
+    return int(np.abs(prefix[b] - prefix[a])[fits].max())
+
+
+def _interval_instance(rng, n, target_kind):
+    pts = rng.random(n)
+    if rng.random() < 0.5:
+        pts = np.round(pts, int(rng.integers(0, 3)))  # ties, down to one group
+    lo, hi = np.sort(rng.choice(pts, 2))
+    target = {
+        "empty": None,
+        "partial": (lo, hi),
+        "full": (-1.0, 2.0),
+        "left-edge": (-1.0, hi),
+        "right-edge": (lo, 2.0),
+    }[target_kind]
+    labels = np.zeros(n) if target is None else ((pts >= target[0]) & (pts <= target[1])) * 1.0
+    s = Sample(points=pts)
+    reduced = reduce_by_labels(ConceptClass.intervals(), labels, s)
+    return reduced, draw(int(rng.integers(0, 2 ** 31)), n)
+
+
+@pytest.mark.parametrize("target_kind", ["empty", "partial", "full", "left-edge", "right-edge"])
+def test_interval_kernel_matches_oracles_every_budget(target_kind, rng):
+    for _ in range(12):
+        n = int(rng.integers(1, 201))
+        reduced, d = _interval_instance(rng, n, target_kind)
+        kernel = _IntervalKernel(reduced, d)
+        table = brute_symdiff_table(reduced, d.signs)
+        for budget in range(n + 1):
+            got = kernel.max_abs_sum(budget)
+            assert got == max(int(table[budget]), 0), (n, budget)
+            if target_kind == "empty":
+                assert got == _brute_window(reduced, d.signs, budget)
+
+
+@pytest.mark.parametrize("target", [None, (0.3, 0.65)])
+def test_interval_kernel_matches_oracle_large(target, rng, monkeypatch):
+    monkeypatch.setattr(rademacher, "_WINDOW_BLOCK", 64)  # several blocks per level
+    n = 3000
+    pts = np.round(rng.random(n), 4)
+    s = Sample(points=pts)
+    labels = np.zeros(n) if target is None else ((pts >= target[0]) & (pts <= target[1])) * 1.0
+    reduced = reduce_by_labels(ConceptClass.intervals(), labels, s)
+    d = draw(77, n)
+    kernel = _IntervalKernel(reduced, d)
+    table = brute_symdiff_table(reduced, d.signs)
+    count_t = int(labels.sum())
+    grid = set(range(0, n + 1, 23)) | set(range(max(count_t - 40, 0), count_t + 41)) | {n}
+    for budget in sorted(grid):
+        assert kernel.max_abs_sum(budget) == max(int(table[budget]), 0), budget
 
 
 # ---------------------------------------------------------------- phi_bar

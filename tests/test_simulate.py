@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import locrad as L
 from locrad.classes import InconsistentLabelsError
 
-from conftest import brute_interval_deviation
+from conftest import brute_interval_deviation, brute_symdiff_table
 
 UNIFORM = L.DistributionSpec.uniform(1)
 
@@ -310,9 +311,26 @@ def test_run_coverage_deterministic():
     assert a.csv_rows() == c.csv_rows()
 
 
-def test_run_coverage_caps_quadratic_path():
-    with pytest.raises(ValueError):
-        L.run_coverage(target=(0.2, 0.8), n=5000, reps=1, master_seed=0, eps=0.01)
+def test_run_coverage_targeted_large_n_matches_oracle():
+    # a targeted run above the size the quadratic scan used to allow: every
+    # local norm of the trace equals the quadratic oracle's
+    n, eps, target = 5000, 0.001, (0.2, 0.8)
+    report = L.run_coverage(target=target, n=n, reps=1, master_seed=0, eps=eps,
+                            constants_mode="unit", learner="worst")
+    row = report.rows[0]
+    sample = L.draw_sample(UNIFORM, n, row.sample_seed)
+    labels = L.interval_labels(target, sample)
+    result = L.risk_bound(L.ConceptClass.intervals(), labels, sample, eps=eps,
+                          seed=row.signs_seed, constants_mode="unit")
+    assert result.trace.values == row.trace
+    reduced = L.reduce_by_labels(L.ConceptClass.intervals(), labels, sample)
+    table = brute_symdiff_table(reduced, L.RademacherDraw.from_seed(row.signs_seed, n).signs)
+    budgets = set()
+    for r, norm in zip(result.trace.values, result.trace.local_norms):
+        budget = max(c for c in range(n + 1) if c / n <= 2.0 * r)
+        budgets.add(budget)
+        assert norm == max(int(table[budget]), 0) / n
+    assert len(budgets) >= 3  # the trace reaches small balls, not only the full one
 
 
 def test_run_rates_validation():
@@ -393,6 +411,7 @@ def test_coverage_tolerance_formula():
 def test_env_thread_cap(monkeypatch):
     from locrad.simulate import _env_workers
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("LOCRAD_THREADS", "3")
     assert _env_workers() == 3
     monkeypatch.setenv("LOCRAD_THREADS", "junk")
@@ -406,6 +425,24 @@ def test_env_thread_cap(monkeypatch):
     monkeypatch.setenv("LOCRAD_THREADS", "1")
     serial = L.run_coverage(**kw)
     assert pooled.csv_rows() == serial.csv_rows()
+
+
+def test_env_thread_cap_clamps_to_cpu_count(monkeypatch):
+    from locrad.simulate import _env_workers
+
+    cpus = os.cpu_count() or 1
+    monkeypatch.setenv("LOCRAD_THREADS", str(cpus + 100))
+    assert _env_workers() == cpus
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("LOCRAD_THREADS", "1000000")
+    assert _env_workers() == 2
+    monkeypatch.setenv("LOCRAD_THREADS", "2")
+    assert _env_workers() == 2
+    monkeypatch.setenv("LOCRAD_THREADS", "0")
+    assert _env_workers() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
+    monkeypatch.setenv("LOCRAD_THREADS", "8")
+    assert _env_workers() == 1
 
 
 def test_oracle_k_max_zero():
