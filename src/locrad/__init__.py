@@ -29,6 +29,7 @@ from .concentration import (
     LadderInputs,
     MassartParams,
     PhiLadder,
+    constants_from_gammas,
     ladder_constants,
     massart_lower_threshold,
     massart_upper_threshold,
@@ -55,11 +56,9 @@ from .rademacher import (
     LocalNormEvaluator,
     RademacherDraw,
     RiskBoundResult,
-    constants_from_gammas,
     default_iterations,
     local_rademacher_norm,
     localize,
-    phi_bar,
     risk_bound,
 )
 from .simulate import (
@@ -76,7 +75,6 @@ from .simulate import (
     minimal_interval_learner,
     oracle_sequence,
     oracle_sequence_explicit,
-    pick_any_consistent,
     run_coverage,
     run_rates,
     true_risk,

@@ -60,27 +60,92 @@ class MassartParams:
             raise ValueError("gamma must lie in (0, 1)")
 
 
+def _linear_coefficient(k_gamma: tuple[float, float], gamma: float) -> float:
+    """The b x coefficient k_const + k_over / gamma of a threshold bracket."""
+    k_const, k_over = k_gamma
+    return k_const + k_over / gamma
+
+
+def _bracket(p: MassartParams, k: float, k_gamma: tuple[float, float]) -> float:
+    """sigma sqrt(2 k x) + (k_const + k_over / gamma) b x."""
+    sigma_term = math.sqrt(p.sigma2) * math.sqrt(2.0 * k * p.x)
+    return sigma_term + _linear_coefficient(k_gamma, p.gamma) * p.b * p.x
+
+
 def massart_upper_threshold(p: MassartParams) -> float:
     """Level whose upward crossing has probability at most e^-x."""
-    k_const, k_over = UPPER_K_GAMMA
-    bracket = math.sqrt(p.sigma2) * math.sqrt(2.0 * UPPER_K * p.x)
-    bracket += (k_const + k_over / p.gamma) * p.b * p.x
-    return (1.0 + p.gamma) * p.ez + bracket / p.n
+    return (1.0 + p.gamma) * p.ez + _bracket(p, UPPER_K, UPPER_K_GAMMA) / p.n
 
 
 def massart_lower_threshold(p: MassartParams) -> float:
     """Level whose downward crossing has probability at most e^-x."""
-    k_const, k_over = LOWER_K_GAMMA
-    bracket = math.sqrt(p.sigma2) * math.sqrt(2.0 * LOWER_K * p.x)
-    bracket += (k_const + k_over / p.gamma) * p.b * p.x
-    return (1.0 - p.gamma) * p.ez - bracket / p.n
+    return (1.0 - p.gamma) * p.ez - _bracket(p, LOWER_K, LOWER_K_GAMMA) / p.n
+
+
+def tail_coefficients(
+    k: float, k_gamma: tuple[float, float], gamma: float
+) -> tuple[float, float]:
+    """The (sqrt(r eps), eps) coefficients of one threshold's bracket / n.
+
+    At b = 1, sigma^2 = n r (0/1 functions on the ball {Pf <= r}) and
+    x = n eps / 2 (so e^-x = exp(-n eps / 2)), the bracket over n is
+    sqrt(k) sqrt(r eps) + (k_const + k_over / gamma) / 2 * eps:
+
+        upper tail (UPPER_K, UPPER_K_GAMMA): 2 and u(g) = (3.5 + 32/g) / 2
+        lower tail (LOWER_K, LOWER_K_GAMMA): sqrt(5.4) and l(g) = (3.5 + 43.2/g) / 2
+
+    Halving and sqrt(4) are exact in binary floating point, so these equal
+    the written-out decimal forms bit for bit.  With Z = sup |P_n - P| and
+    R the per-draw Rademacher norm over {Pf <= r}, a(g, g') =
+    2 (1 + g) / (1 - g') and each tail failing with probability at most
+    exp(-n eps / 2), the chain is, one inequality per line:
+
+        Z  <= (1+g) EZ + 2 sqrt(r eps) + u(g) eps                 upper tail of Z (phi2)
+        EZ <= 2 ER                                                symmetrization
+        ER <= (R + sqrt(5.4) sqrt(r eps) + l(g') eps) / (1-g')    lower tail of R (phi3)
+        K1 = a(g, g'), K2 = K1 sqrt(5.4) + 2, K3 = K1 l(g') + u(g)   phi3, R over ball(2r)
+        R  <= (1+g'') ER + 2 sqrt(r eps) + u(g'') eps             upper tail of R
+        ER <= 2 EZ + sqrt(r eps)                                  symmetrization, eps >= 1/n
+        EZ <= (Z + sqrt(5.4) sqrt(r eps) + l(g'') eps) / (1-g'')  lower tail of Z (phi5)
+        Z  <= (1+g'') EZ + 2 sqrt(r eps) + u(g'') eps             upper tail of Z (phi6)
+    """
+    return math.sqrt(k), _linear_coefficient(k_gamma, gamma) / 2.0
+
+
+def _upper(gamma: float) -> tuple[float, float]:
+    return tail_coefficients(UPPER_K, UPPER_K_GAMMA, gamma)
+
+
+def _lower(gamma: float) -> tuple[float, float]:
+    return tail_coefficients(LOWER_K, LOWER_K_GAMMA, gamma)
+
+
+def _slack(gamma: float, gamma_prime: float) -> float:
+    """a(g, g') = 2 (1 + g) / (1 - g'): upper tail, symmetrization, lower tail."""
+    return 2.0 * (1.0 + gamma) / (1.0 - gamma_prime)
+
+
+def constants_from_gammas(gamma: float, gamma_prime: float) -> tuple[float, float, float]:
+    """Conservative localization constants for parameters in (0, 1).
+
+    K1 scales the local Rademacher norm, K2 the sqrt(r eps) term, K3 the
+    eps term.  They are the coefficients of phi3 (see `tail_coefficients`),
+    so the same triple reappears when the phi-ladder is expanded at ball
+    radius 2r.
+    """
+    if not (0.0 < gamma < 1.0) or not (0.0 < gamma_prime < 1.0):
+        raise ValueError("gamma and gamma_prime must lie in (0, 1)")
+    k1 = _slack(gamma, gamma_prime)
+    upper_root, upper_eps = _upper(gamma)
+    lower_root, lower_eps = _lower(gamma_prime)
+    return k1, k1 * lower_root + upper_root, k1 * lower_eps + upper_eps
 
 
 @dataclass(frozen=True)
 class LadderConstants:
     """Coefficients of phi5 and phi6.
 
-    Derived by chaining the two thresholds above at parameter
+    The last four lines of the chain in `tail_coefficients`, at parameter
     gamma_double_prime: first bound the Rademacher norm by its
     expectation, then symmetrize (E||R_n|| <= 2 E sup|P_n - P| + sqrt(r eps),
     the last term folding the r/sqrt(n) remainder, valid for eps >= 1/n),
@@ -103,18 +168,19 @@ def ladder_constants(
                     ("gamma_double_prime", gamma_double_prime)):
         if not (0.0 < g < 1.0):
             raise ValueError(f"{name} must lie in (0, 1)")
-    a = 2.0 * (1.0 + gamma) / (1.0 - gamma_prime)
+    a = _slack(gamma, gamma_prime)
     g2 = gamma_double_prime
-    a2 = 2.0 * (1.0 + g2) / (1.0 - g2)
-    root = math.sqrt(LOWER_K)
+    a2 = _slack(g2, g2)
+    upper_root, upper_eps = _upper(gamma)
+    inner_root, inner_eps = _lower(gamma_prime)
+    g2_upper_root, g2_upper_eps = _upper(g2)
+    g2_lower_root, g2_lower_eps = _lower(g2)
     c1_prime = a * a2
-    c2_prime = a * (a2 * root + (1.0 + g2) + 2.0 + root) + 2.0
-    c3_prime = a * (
-        a2 * (1.75 + 21.6 / g2) + (1.75 + 16.0 / g2) + (1.75 + 21.6 / gamma_prime)
-    ) + (1.75 + 16.0 / gamma)
+    c2_prime = a * (a2 * g2_lower_root + (1.0 + g2) + g2_upper_root + inner_root) + upper_root
+    c3_prime = a * (a2 * g2_lower_eps + g2_upper_eps + inner_eps) + upper_eps
     c1_tilde = c1_prime * (1.0 + g2)
-    c2_tilde = c2_prime + 2.0 * c1_prime
-    c3_tilde = c3_prime + c1_prime * (1.75 + 16.0 / g2)
+    c2_tilde = c2_prime + g2_upper_root * c1_prime
+    c3_tilde = c3_prime + c1_prime * g2_upper_eps
     return LadderConstants(c1_prime, c2_prime, c3_prime,
                            c1_tilde, c2_tilde, c3_tilde)
 
@@ -171,12 +237,14 @@ def phi_ladder(
         raise ValueError("radius must lie in [0, 1]")
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    a = 2.0 * (1.0 + gamma) / (1.0 - gamma_prime)
+    consts = ladder_constants(gamma, gamma_prime, gamma_double_prime)
+    a = _slack(gamma, gamma_prime)
     g2 = gamma_double_prime
     sqrt_re = math.sqrt(r * eps)
-    outer = 2.0 * sqrt_re + (1.75 + 16.0 / gamma) * eps
-    inner_eps = (1.75 + 21.6 / gamma_prime) * eps
-    consts = ladder_constants(gamma, gamma_prime, g2)
+    upper_root, upper_eps = _upper(gamma)
+    g2_upper_root, g2_upper_eps = _upper(g2)
+    outer = upper_root * sqrt_re + upper_eps * eps
+    inner_eps = _lower(gamma_prime)[1] * eps
 
     phi1 = inputs.sup_dev
     phi2 = None
@@ -189,8 +257,8 @@ def phi_ladder(
     if inputs.mean_rademacher_norm is not None:
         phi4 = a * (
             (1.0 + 1.0 / g2) * inputs.mean_rademacher_norm
-            + 2.0 * sqrt_re
-            + (1.75 + 16.0 / g2) * eps
+            + g2_upper_root * sqrt_re
+            + g2_upper_eps * eps
             + math.sqrt(LOWER_K * r * eps)
             + inner_eps
         ) + outer

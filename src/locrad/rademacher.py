@@ -25,31 +25,16 @@ from .classes import (
     SampledRestriction,
     reduce_by_labels,
 )
+from .concentration import constants_from_gammas
 
 CONSTANTS_SAFE = "safe"
 CONSTANTS_UNIT = "unit"
 CONSTANTS_CUSTOM = "custom"
 
-#: Iteration cap used when eps is chosen from a confidence level.  Eight
-#: iterations cover every eps above ~1e-38, far below any usable value.
+#: Most iterations run without an override; eps from a confidence level
+#: pays the union bound for this many.  Eight iterations cover every eps
+#: above ~1e-38, far below any usable value.
 ITERATION_CAP = 8
-
-
-def constants_from_gammas(gamma: float, gamma_prime: float) -> tuple[float, float, float]:
-    """Conservative localization constants for parameters in (0, 1).
-
-    K1 scales the local Rademacher norm, K2 the sqrt(r eps) term, K3 the
-    eps term.  They are exactly the coefficients one gets by expanding the
-    concentration chain empirical -> expected -> Rademacher with Massart's
-    numerical constants, so the same triple reappears when the diagnostic
-    phi-ladder is expanded at ball radius 2r.
-    """
-    if not (0.0 < gamma < 1.0) or not (0.0 < gamma_prime < 1.0):
-        raise ValueError("gamma and gamma_prime must lie in (0, 1)")
-    k1 = 2.0 * (1.0 + gamma) / (1.0 - gamma_prime)
-    k2 = k1 * math.sqrt(5.4) + 2.0
-    k3 = k1 * (1.75 + 21.6 / gamma_prime) + (1.75 + 16.0 / gamma)
-    return k1, k2, k3
 
 
 def default_iterations(eps: float) -> int:
@@ -127,9 +112,13 @@ class LocalizationConfig:
         return tuple(float(k) for k in self.custom_constants)
 
     def iterations(self) -> int:
+        """The override if set, else 1 when eps >= 1 (outside the domain of
+        default_iterations), else min(default_iterations(eps), ITERATION_CAP)."""
         if self.iteration_override is not None:
             return self.iteration_override
-        return default_iterations(self.eps)
+        if self.eps >= 1.0:
+            return 1
+        return min(default_iterations(self.eps), ITERATION_CAP)
 
 
 @dataclass(frozen=True)
@@ -334,29 +323,13 @@ def local_rademacher_norm(
     return LocalNormEvaluator(restriction, draw).norm(radius)
 
 
-def phi_bar(
-    restriction: SampledRestriction,
-    draw: RademacherDraw,
-    config: LocalizationConfig,
-    r: float,
-    _evaluator: LocalNormEvaluator | None = None,
-) -> float:
-    """One localization step: K1 ||R_n||_{ball(2r)} + K2 sqrt(r eps) + K3 eps."""
-    if not (0.0 <= r <= 1.0):
-        raise ValueError(f"localization radius must lie in [0, 1], got {r}")
-    k1, k2, k3 = config.resolve_constants()
-    ev = _evaluator if _evaluator is not None else LocalNormEvaluator(restriction, draw)
-    norm = ev.norm(2.0 * r)
-    return k1 * norm + k2 * math.sqrt(r * config.eps) + k3 * config.eps
-
-
 def localize(
     restriction: SampledRestriction, draw: RademacherDraw, config: LocalizationConfig
 ) -> BoundTrace:
-    """Run the localization recursion r_{k+1} = min(phi_bar(r_k), 1) from r_0 = 1.
+    """Run r_{k+1} = min(K1 ||R_n||_{ball(2 r_k)} + K2 sqrt(r_k eps) + K3 eps, 1) from r_0 = 1.
 
     One shared sign vector is used for all iterations; the output trace is
-    nonincreasing because phi_bar is nondecreasing in r.
+    nonincreasing because the step is nondecreasing in r.
     """
     steps = config.iterations()
     k1, k2, k3 = config.resolve_constants()
@@ -370,6 +343,11 @@ def localize(
         r = min(k1 * norm + k2 * math.sqrt(r * config.eps) + k3 * config.eps, 1.0)
         values.append(r)
     return BoundTrace(values=tuple(values), local_norms=tuple(norms), config=config)
+
+
+def tail_certificate(iterations: int, n: int, eps: float) -> float:
+    """2 N exp(-n eps / 2), a union bound over N steps on the failure probability."""
+    return 2.0 * iterations * math.exp(-n * eps / 2.0)
 
 
 @dataclass(frozen=True)
@@ -403,7 +381,7 @@ def risk_bound(
     level delta the recursion parameter is eps = 2 ln(2 * cap / delta) / n
     with cap = 8, which makes the tail certificate 2 N exp(-n eps / 2) at
     most delta for every N <= cap.  The iteration count is
-    min(default_iterations(eps), cap) unless overridden.
+    `LocalizationConfig.iterations`.
     """
     if (delta_conf is None) == (eps is None):
         raise ValueError("provide exactly one of delta_conf and eps")
@@ -415,12 +393,6 @@ def risk_bound(
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     reduced = reduce_by_labels(concept_class, labels, sample)
-    if iteration_override is not None:
-        iterations = iteration_override
-    elif eps >= 1.0:
-        iterations = 1  # the recursion is already clamped after one step
-    else:
-        iterations = min(default_iterations(eps), ITERATION_CAP)
     draw = RademacherDraw.from_seed(seed, n)
     config = LocalizationConfig(
         eps=eps,
@@ -428,14 +400,13 @@ def risk_bound(
         gamma_prime=gamma_prime,
         constants_mode=constants_mode,
         custom_constants=custom_constants,
-        iteration_override=iterations,
+        iteration_override=iteration_override,
     )
     trace = localize(reduced, draw, config)
-    certificate = 2.0 * iterations * math.exp(-n * eps / 2.0)
     return RiskBoundResult(
         bound=trace.bound,
         trace=trace,
-        certificate=certificate,
+        certificate=tail_certificate(trace.iterations, n, eps),
         eps=eps,
-        iterations=iterations,
+        iterations=trace.iterations,
     )

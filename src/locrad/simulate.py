@@ -23,12 +23,11 @@ from .classes import (
     ConceptClass,
     InconsistentLabelsError,
     Sample,
-    SampledRestriction,
     reduce_by_labels,
     sorted_groups,
 )
 from .concentration import LadderInputs, phi_ladder
-from .rademacher import LocalNormEvaluator, RademacherDraw, risk_bound
+from .rademacher import LocalNormEvaluator, RademacherDraw, risk_bound, tail_certificate
 
 TAG_SAMPLE = 0
 TAG_SIGNS = 1
@@ -241,31 +240,6 @@ def true_risk_mc(
         - np.asarray(target_fn(sample.points), dtype=float)
     )
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(points))
-
-
-def pick_any_consistent(
-    restriction: SampledRestriction, mode: str = "first", true_risks=None
-) -> int:
-    """Index of a consistent member in the reduced restriction.
-
-    After reduction, consistent members are exactly the all-zero vectors;
-    deduplication leaves one, picked with the lowest index.  The "worst"
-    mode is for stress tests: among vectors given exact true risks, it
-    returns the consistent one with the largest risk (post-dedup this is
-    again the zero vector, so it only differs for non-deduplicated input).
-    """
-    vectors = restriction.materialize()
-    zero_rows = np.flatnonzero(np.all(vectors == 0.0, axis=1))
-    if len(zero_rows) == 0:
-        raise InconsistentLabelsError("no consistent member in the restriction")
-    if mode == "first":
-        return int(zero_rows[0])
-    if mode == "worst":
-        if true_risks is None:
-            raise ValueError("worst mode needs per-vector true risks")
-        risks = np.asarray(true_risks, dtype=float)
-        return int(zero_rows[np.argmax(risks[zero_rows])])
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def worst_consistent_risk(
@@ -621,6 +595,46 @@ def _quantiles(values: np.ndarray) -> dict:
     }
 
 
+def _replicate(
+    master_seed: int,
+    key: tuple[int, ...],
+    n: int,
+    dist: DistributionSpec,
+    target: tuple[float, float] | None,
+    vectors: np.ndarray | None,
+    learner: str,
+    bound_kwargs: dict,
+) -> ReplicationResult:
+    """One replication: sample, bound, learner risk.
+
+    The sample and sign streams are derived from (master_seed, *key, tag);
+    the replication index is the last entry of key.  With vectors (a finite
+    class on n points) the labels are its first row and the learner is that
+    target member, whose risk is 0; otherwise the class is intervals and
+    the learner is "minimal" or "worst".  bound_kwargs go to risk_bound.
+    """
+    sample_seed = derive_seed(master_seed, *key, TAG_SAMPLE)
+    signs_seed = derive_seed(master_seed, *key, TAG_SIGNS)
+    sample = draw_sample(dist, n, sample_seed)
+    if vectors is not None:
+        concept, labels = ConceptClass.finite(vectors), vectors[0]
+    else:
+        concept, labels = ConceptClass.intervals(), interval_labels(target, sample)
+    result = risk_bound(concept, labels, sample, seed=signs_seed, **bound_kwargs)
+    if vectors is not None:
+        risk = 0.0
+    elif learner == "minimal":
+        risk = true_risk(minimal_interval_learner(sample, labels), target, dist)
+    else:
+        risk, _ = worst_consistent_risk(sample, labels, target, dist)
+    return ReplicationResult(
+        rep=key[-1], n=n, eps=result.eps, iterations=result.iterations,
+        bound=result.bound, risk=risk, violated=bool(risk >= result.bound),
+        sample_seed=sample_seed, signs_seed=signs_seed,
+        trace=result.trace.values,
+    )
+
+
 def run_coverage(
     *,
     target: tuple[float, float] | None,
@@ -651,38 +665,22 @@ def run_coverage(
     if learner not in ("minimal", "worst"):
         raise ValueError(f"unknown learner {learner!r}")
     dist = dist if dist is not None else DistributionSpec.uniform(1)
-    concept = ConceptClass.intervals()
-
-    def one(rep: int) -> ReplicationResult:
-        sample_seed = derive_seed(master_seed, rep, TAG_SAMPLE)
-        signs_seed = derive_seed(master_seed, rep, TAG_SIGNS)
-        sample = draw_sample(dist, n, sample_seed)
-        labels = interval_labels(target, sample)
-        result = risk_bound(
-            concept, labels, sample,
-            delta_conf=delta_conf, eps=eps, seed=signs_seed,
-            gamma=gamma, gamma_prime=gamma_prime,
-            constants_mode=constants_mode, custom_constants=custom_constants,
-            iteration_override=iteration_override,
-        )
-        if learner == "minimal":
-            estimate = minimal_interval_learner(sample, labels)
-            risk = true_risk(estimate, target, dist)
-        else:
-            risk, _ = worst_consistent_risk(sample, labels, target, dist)
-        return ReplicationResult(
-            rep=rep, n=n, eps=result.eps, iterations=result.iterations,
-            bound=result.bound, risk=risk, violated=bool(risk >= result.bound),
-            sample_seed=sample_seed, signs_seed=signs_seed,
-            trace=result.trace.values,
-        )
-
+    bound_kwargs = dict(
+        delta_conf=delta_conf, eps=eps, gamma=gamma, gamma_prime=gamma_prime,
+        constants_mode=constants_mode, custom_constants=custom_constants,
+        iteration_override=iteration_override,
+    )
     workers = workers if workers is not None else _env_workers()
-    rows = _run_indexed(one, range(reps), workers)
+    rows = _run_indexed(
+        lambda rep: _replicate(
+            master_seed, (rep,), n, dist, target, None, learner, bound_kwargs
+        ),
+        range(reps), workers,
+    )
     bounds = np.array([r.bound for r in rows])
     risks = np.array([r.risk for r in rows])
     violations = sum(r.violated for r in rows)
-    certificate = 2.0 * rows[0].iterations * math.exp(-n * rows[0].eps / 2.0)
+    certificate = tail_certificate(rows[0].iterations, n, rows[0].eps)
     frequency = violations / reps
     binom_p = min(certificate, 1.0)  # the certificate is vacuous above 1
     tolerance = certificate + 3.0 * math.sqrt(binom_p * (1.0 - binom_p) / reps) + 1.0 / reps
@@ -739,6 +737,14 @@ def run_rates(
         raise ValueError("n-grid must be strictly increasing")
     if reps < 1:
         raise ValueError("need at least one replication per grid point")
+    if finite_vectors is not None:
+        finite_vectors = np.asarray(finite_vectors, dtype=float)
+        columns = finite_vectors.shape[1] if finite_vectors.ndim == 2 else None
+        if columns != 1 and any(n != columns for n in n_grid):
+            raise ValueError(
+                "finite rate classes need single-column (constant) "
+                "vectors or vectors matching every grid size"
+            )
     dist = dist if dist is not None else DistributionSpec.uniform(1)
     workers = workers if workers is not None else _env_workers()
 
@@ -746,45 +752,20 @@ def run_rates(
     per_n = []
     for n in n_grid:
         point_eps = eps if eps is not None else 2.0 * math.log(n) / n
-
-        def one(rep: int, n=n, point_eps=point_eps) -> ReplicationResult:
-            sample_seed = derive_seed(master_seed, n, rep, TAG_SAMPLE)
-            signs_seed = derive_seed(master_seed, n, rep, TAG_SIGNS)
-            if finite_vectors is not None:
-                vectors = np.asarray(finite_vectors, dtype=float)
-                if vectors.shape[1] == 1:
-                    # constant functions, broadcast across the grid point
-                    vectors = np.tile(vectors, (1, n))
-                elif vectors.shape[1] != n:
-                    raise ValueError(
-                        "finite rate classes need single-column (constant) "
-                        "vectors or vectors matching every grid size"
-                    )
-                concept = ConceptClass.finite(vectors)
-                labels = vectors[0]
-                sample = draw_sample(dist, n, sample_seed)
-                risk = 0.0  # the consistent pick is the target member itself
-            else:
-                concept = ConceptClass.intervals()
-                sample = draw_sample(dist, n, sample_seed)
-                labels = interval_labels(target, sample)
-                estimate = minimal_interval_learner(sample, labels)
-                risk = true_risk(estimate, target, dist)
-            result = risk_bound(
-                concept, labels, sample, eps=point_eps, seed=signs_seed,
-                gamma=gamma, gamma_prime=gamma_prime,
-                constants_mode=constants_mode, custom_constants=custom_constants,
-                iteration_override=iteration_override,
-            )
-            return ReplicationResult(
-                rep=rep, n=n, eps=result.eps, iterations=result.iterations,
-                bound=result.bound, risk=risk,
-                violated=bool(risk >= result.bound),
-                sample_seed=sample_seed, signs_seed=signs_seed,
-                trace=result.trace.values,
-            )
-
-        n_rows = _run_indexed(one, range(reps), workers)
+        vectors = finite_vectors
+        if vectors is not None and vectors.shape[1] == 1:
+            vectors = np.tile(vectors, (1, n))  # constant functions, broadcast to n points
+        bound_kwargs = dict(
+            eps=point_eps, gamma=gamma, gamma_prime=gamma_prime,
+            constants_mode=constants_mode, custom_constants=custom_constants,
+            iteration_override=iteration_override,
+        )
+        n_rows = _run_indexed(
+            lambda rep: _replicate(
+                master_seed, (n, rep), n, dist, target, vectors, "minimal", bound_kwargs
+            ),
+            range(reps), workers,
+        )
         rows.extend(n_rows)
         per_n.append({
             "n": n,

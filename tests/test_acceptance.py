@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  Criteria 4, 5, 9, and 10 are the slow ones; the
-whole module runs in a few minutes.
+lines as they complete.  Criterion 9 is the slow one; every other
+criterion takes a few seconds at most.
 """
 
 import math

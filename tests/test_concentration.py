@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from locrad.concentration import (
+    LOWER_K,
+    LOWER_K_GAMMA,
+    UPPER_K,
+    UPPER_K_GAMMA,
     LadderInputs,
     MassartParams,
     ladder_constants,
     massart_lower_threshold,
     massart_upper_threshold,
     phi_ladder,
+    tail_coefficients,
 )
 from locrad.rademacher import constants_from_gammas
 
@@ -134,6 +139,17 @@ def test_localization_constants_equal_phi3_expansion():
         assert k1 == a
         assert k2 == a * math.sqrt(5.4) + 2.0
         assert k3 == a * (1.75 + 21.6 / gamma_prime) + (1.75 + 16.0 / gamma)
+
+
+def test_tail_coefficients_equal_halved_literals():
+    # x = n eps / 2 halves the b x coefficient, exactly in binary floating
+    # point, and sqrt(4) is exact: the derivation reproduces the decimal forms
+    for gamma in np.concatenate((np.linspace(0.01, 0.99, 99), [1e-6, 0.5, 0.999999])):
+        gamma = float(gamma)
+        assert tail_coefficients(UPPER_K, UPPER_K_GAMMA, gamma) == (2.0, 1.75 + 16.0 / gamma)
+        assert tail_coefficients(LOWER_K, LOWER_K_GAMMA, gamma) == (
+            math.sqrt(5.4), 1.75 + 21.6 / gamma
+        )
 
 
 def test_ladder_constants_exposed_and_ordered():

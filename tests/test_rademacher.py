@@ -15,6 +15,7 @@ from locrad.classes import (
 )
 from locrad import rademacher
 from locrad.rademacher import (
+    ITERATION_CAP,
     BoundTrace,
     LocalizationConfig,
     RademacherDraw,
@@ -22,7 +23,6 @@ from locrad.rademacher import (
     default_iterations,
     local_rademacher_norm,
     localize,
-    phi_bar,
     _IntervalKernel,
     risk_bound,
 )
@@ -88,6 +88,20 @@ def test_default_iterations_rejects_bad_eps():
 @given(st.floats(min_value=1e-30, max_value=0.999))
 def test_default_iterations_positive(eps):
     assert default_iterations(eps) >= 1
+
+
+def test_config_iterations_is_the_whole_rule():
+    # override first, then one step for eps >= 1, then the capped default;
+    # risk_bound runs exactly the count the config reports
+    s = Sample(points=np.linspace(0.05, 0.95, 10))
+    cls = ConceptClass.finite(np.zeros((1, 10)))
+    for eps in (1.5, 1.0):
+        assert LocalizationConfig(eps=eps).iterations() == 1
+        assert risk_bound(cls, np.zeros(10), s, eps=eps).iterations == 1
+    assert LocalizationConfig(eps=1.5, iteration_override=3).iterations() == 3
+    assert LocalizationConfig(eps=1e-300).iterations() == ITERATION_CAP
+    assert default_iterations(1e-300) > ITERATION_CAP
+    assert LocalizationConfig(eps=1e-3).iterations() == default_iterations(1e-3)
 
 
 # ------------------------------------------------------------- local norm
@@ -224,53 +238,6 @@ def test_interval_kernel_matches_oracle_large(target, rng, monkeypatch):
         assert kernel.max_abs_sum(budget) == max(int(table[budget]), 0), budget
 
 
-# ---------------------------------------------------------------- phi_bar
-
-def test_phi_bar_safe_zero_restriction():
-    cfg = LocalizationConfig(eps=1e-4)
-    got = phi_bar(ZERO_ONLY, draw(0, 4), cfg, 1.0)
-    _, k2, k3 = constants_from_gammas(0.5, 0.5)
-    assert got == pytest.approx(k2 * 1e-2 + k3 * 1e-4, rel=1e-12)
-    assert got == pytest.approx(0.1897724, abs=5e-8)
-
-
-def test_phi_bar_unit_mode(rng):
-    pts = rng.random(8)
-    s = Sample(points=pts)
-    red = restrict(ConceptClass.intervals(), s)
-    d = draw(3, 8)
-    cfg = LocalizationConfig(eps=0.01, constants_mode="unit")
-    r = 0.3
-    nu = local_rademacher_norm(red, d, 2 * r)
-    assert phi_bar(red, d, cfg, r) == pytest.approx(
-        nu + math.sqrt(r * 0.01) + 0.01, rel=1e-12
-    )
-
-
-def test_phi_bar_degenerate_zero():
-    cfg = LocalizationConfig(eps=0.0, constants_mode="unit")
-    assert phi_bar(ZERO_ONLY, draw(0, 4), cfg, 0.0) == 0.0
-
-
-def test_phi_bar_rejects_radius_outside_unit():
-    cfg = LocalizationConfig(eps=0.01)
-    with pytest.raises(ValueError):
-        phi_bar(ZERO_ONLY, draw(0, 4), cfg, 1.2)
-
-
-def test_phi_bar_eps_scaling():
-    # multiplying eps by 4 doubles the K2 term and quadruples the K3 term
-    r = 0.37
-    eps = 1e-3
-    _, k2, k3 = constants_from_gammas(0.5, 0.5)
-    base = phi_bar(ZERO_ONLY, draw(0, 4), LocalizationConfig(eps=eps), r)
-    scaled = phi_bar(ZERO_ONLY, draw(0, 4), LocalizationConfig(eps=4 * eps), r)
-    term2 = k2 * math.sqrt(r * eps)
-    term3 = k3 * eps
-    assert base == pytest.approx(term2 + term3, rel=1e-12)
-    assert scaled == pytest.approx(2 * term2 + 4 * term3, rel=1e-12)
-
-
 # ---------------------------------------------------------------- localize
 
 def test_localize_hand_recursion_safe():
@@ -309,6 +276,9 @@ def test_localize_records_norms(rng):
     assert len(trace.local_norms) == 4
     for k, nu in enumerate(trace.local_norms):
         assert nu == local_rademacher_norm(red, d, 2 * trace.values[k])
+        # the unit-constant step: norm + sqrt(r eps) + eps, clamped at 1
+        r = trace.values[k]
+        assert trace.values[k + 1] == min(nu + math.sqrt(r * 0.01) + 0.01, 1.0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -82,17 +82,6 @@ def test_minimal_learner_is_consistent(rng):
         assert np.array_equal(L.interval_labels(est, s), labels)
 
 
-def test_pick_any_consistent():
-    red = L.SampledRestriction(n=3, vectors=np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    assert L.pick_any_consistent(red) == 0
-    assert L.pick_any_consistent(red, mode="worst", true_risks=[0.3, 0.9]) == 0
-    no_zero = L.SampledRestriction(n=3, vectors=np.array([[0.0, 1.0, 0.0]]))
-    with pytest.raises(InconsistentLabelsError):
-        L.pick_any_consistent(no_zero)
-    with pytest.raises(ValueError):
-        L.pick_any_consistent(red, mode="worst")
-
-
 # -------------------------------------------------------------- true risk
 
 def test_true_risk_examples():
@@ -138,7 +127,8 @@ def test_worst_consistent_dominates_minimal(rng):
 
 
 def test_worst_consistent_brute_force(rng):
-    # dense-grid scan lower-bounds the closure supremum and approaches it
+    # dense-grid scan lower-bounds the closure supremum and approaches it;
+    # for each left end a, every right end b >= a is checked at once
     for trial in range(8):
         s = L.draw_sample(UNIFORM, 25, 300 + trial)
         lo, hi = np.sort(rng.random(2))
@@ -148,12 +138,17 @@ def test_worst_consistent_brute_force(rng):
             np.linspace(0.0, 1.0, 1501), s.points[:, 0], [lo, hi]
         ]))
         x = s.points[:, 0]
-        best = 0.0 if labels.any() else L.true_risk(None, (lo, hi), UNIFORM)
+        positive = labels == 1.0
+        best = 0.0 if labels.any() else hi - lo  # the empty estimate
         for a_idx, a in enumerate(grid):
-            for b in grid[a_idx:]:
-                inside = ((x >= a) & (x <= b)).astype(float)
-                if np.array_equal(inside, labels):
-                    best = max(best, L.true_risk((a, b), (lo, hi), UNIFORM))
+            b = grid[a_idx:]
+            inside = (x >= a) & (x <= b[:, None])
+            consistent = np.all(inside == positive, axis=1)
+            if consistent.any():
+                b = b[consistent]
+                # uniform mass of [a, b] symmetric-difference [lo, hi]
+                overlap = np.maximum(np.minimum(b, hi) - max(a, lo), 0.0)
+                best = max(best, float(((b - a) + (hi - lo) - 2.0 * overlap).max()))
         assert got >= best - 1e-12
         assert got <= best + 2e-3  # grid resolution slack
 
@@ -362,6 +357,31 @@ def test_run_rates_degenerate_class_matches_hand_recursion():
         [(e["n"], e["bound_median"]) for e in report1.aggregates["per_n"]]
     )
     assert slope == pytest.approx(-0.5, abs=0.1)
+
+
+def test_run_rates_rows_equal_hand_composition():
+    # pins the rates seed key (master, n, rep, tag) and the replication body
+    grid, reps, master = [64, 128, 256, 512], 2, 31
+    target = (0.2, 0.65)
+    report = L.run_rates(n_grid=grid, reps=reps, master_seed=master, target=target)
+    assert len(report.rows) == len(grid) * reps
+    rows = iter(report.rows)
+    for n in grid:
+        eps = 2.0 * math.log(n) / n
+        for rep in range(reps):
+            row = next(rows)
+            sample_seed = L.derive_seed(master, n, rep, L.simulate.TAG_SAMPLE)
+            signs_seed = L.derive_seed(master, n, rep, L.simulate.TAG_SIGNS)
+            sample = L.draw_sample(UNIFORM, n, sample_seed)
+            labels = L.interval_labels(target, sample)
+            result = L.risk_bound(L.ConceptClass.intervals(), labels, sample, eps=eps,
+                                  seed=signs_seed, constants_mode="unit")
+            risk = L.true_risk(L.minimal_interval_learner(sample, labels), target, UNIFORM)
+            assert (row.rep, row.n, row.sample_seed, row.signs_seed) == (
+                rep, n, sample_seed, signs_seed)
+            assert (row.bound, row.risk, row.iterations, row.eps) == (
+                result.bound, risk, result.iterations, eps)
+            assert row.trace == result.trace.values
 
 
 def test_run_rates_interval_smoke():
