@@ -10,19 +10,18 @@ of entropy integrals.
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .classes import (
     ConceptClass,
     DimensionMismatchError,
     InconsistentLabelsError,
     Sample,
     SampledRestriction,
-    TargetSpec,
     load_sample_csv,
     load_vectors_csv,
     reduce_by_labels,
-    reduce_to_zero_target,
     restrict,
-    shattering_count,
 )
 from .concentration import (
     LadderConstants,
@@ -57,7 +56,6 @@ from .rademacher import (
     RademacherDraw,
     RiskBoundResult,
     default_iterations,
-    local_rademacher_norm,
     localize,
     risk_bound,
 )
@@ -74,12 +72,13 @@ from .simulate import (
     mc_mean_sup_deviation,
     minimal_interval_learner,
     oracle_sequence,
-    oracle_sequence_explicit,
     run_coverage,
     run_rates,
     true_risk,
-    true_risk_mc,
     worst_consistent_risk,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -17,7 +17,6 @@ import numpy as np
 DEFAULT_MAX_VECTORS = 10**6
 
 KIND_INTERVALS = "intervals"
-KIND_BOXES = "boxes"
 KIND_FINITE = "finite"
 
 
@@ -88,23 +87,20 @@ def sorted_groups(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
 class ConceptClass:
     """A function class over [0, 1]^d with values in [0, 1].
 
-    Three kinds are supported: closed intervals on [0, 1] (including the
+    Two kinds are supported: closed intervals on [0, 1] (including the
     empty interval, so the zero function stays in every reduced class),
-    axis-aligned boxes in [0, 1]^d, and finite explicit classes given as
-    value vectors bound to a specific sample.
+    and finite explicit classes given as value vectors bound to a specific
+    sample.
     """
 
     kind: str
-    dim: int = 1
     vectors: np.ndarray | None = None
     bound_sample: Sample | None = None
     max_vectors: int = DEFAULT_MAX_VECTORS
 
     def __post_init__(self):
-        if self.kind not in (KIND_INTERVALS, KIND_BOXES, KIND_FINITE):
+        if self.kind not in (KIND_INTERVALS, KIND_FINITE):
             raise ValueError(f"unknown class kind {self.kind!r}")
-        if self.kind == KIND_INTERVALS and self.dim != 1:
-            raise DimensionMismatchError("interval classes live on [0, 1]")
         if self.kind == KIND_FINITE:
             if self.vectors is None:
                 raise ValueError("finite class needs explicit value vectors")
@@ -124,13 +120,7 @@ class ConceptClass:
 
     @classmethod
     def intervals(cls) -> "ConceptClass":
-        return cls(kind=KIND_INTERVALS, dim=1)
-
-    @classmethod
-    def boxes(cls, dim: int) -> "ConceptClass":
-        if dim < 1:
-            raise ValueError("box dimension must be >= 1")
-        return cls(kind=KIND_BOXES, dim=dim)
+        return cls(kind=KIND_INTERVALS)
 
     @classmethod
     def finite(
@@ -147,71 +137,10 @@ class ConceptClass:
             )
         return cls(
             kind=KIND_FINITE,
-            dim=bound_sample.dim if bound_sample is not None else 1,
             vectors=vec,
             bound_sample=bound_sample,
             max_vectors=max_vectors,
         )
-
-
-@dataclass(frozen=True)
-class TargetSpec:
-    """The target function, as a class member plus its induced labels."""
-
-    kind: str  # "interval" | "empty-interval" | "vector" | "box"
-    labels: np.ndarray
-    interval: tuple[float, float] | None = None
-    vector: np.ndarray | None = None
-    box: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=float)
-        lab.flags.writeable = False
-        object.__setattr__(self, "labels", lab)
-
-    @classmethod
-    def from_interval(cls, sample: Sample, lo: float, hi: float) -> "TargetSpec":
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ValueError("interval target must satisfy 0 <= lo <= hi <= 1")
-        x = sample.points[:, 0]
-        labels = ((x >= lo) & (x <= hi)).astype(float)
-        return cls(kind="interval", labels=labels, interval=(lo, hi))
-
-    @classmethod
-    def empty_interval(cls, sample: Sample) -> "TargetSpec":
-        return cls(kind="empty-interval", labels=np.zeros(sample.n))
-
-    @classmethod
-    def from_vector(cls, values) -> "TargetSpec":
-        vec = np.asarray(values, dtype=float)
-        return cls(kind="vector", labels=vec, vector=vec)
-
-    @classmethod
-    def from_box(cls, sample: Sample, lo, hi) -> "TargetSpec":
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.shape != (sample.dim,) or hi.shape != (sample.dim,):
-            raise DimensionMismatchError("box bounds must match sample dimension")
-        if np.any(lo > hi):
-            raise ValueError("box target needs lo <= hi in every coordinate")
-        inside = np.all((sample.points >= lo) & (sample.points <= hi), axis=1)
-        return cls(kind="box", labels=inside.astype(float), box=(lo, hi))
-
-
-def evaluate_target(target: TargetSpec, sample: Sample) -> np.ndarray:
-    """Re-evaluate the target member on the sample (for label validation)."""
-    if target.kind == "interval":
-        lo, hi = target.interval
-        x = sample.points[:, 0]
-        return ((x >= lo) & (x <= hi)).astype(float)
-    if target.kind == "empty-interval":
-        return np.zeros(sample.n)
-    if target.kind == "vector":
-        return np.asarray(target.vector, dtype=float)
-    if target.kind == "box":
-        lo, hi = target.box
-        return np.all((sample.points >= lo) & (sample.points <= hi), axis=1).astype(float)
-    raise ValueError(f"unknown target kind {target.kind!r}")
 
 
 FAST_PATH_RUNS = "interval-runs"
@@ -222,7 +151,7 @@ FAST_PATH_SYMDIFF = "interval-symdiff"
 class SampledRestriction:
     """Distinct value vectors of a class restricted to a sample.
 
-    Either `vectors` is materialized (finite and box classes), or the
+    Either `vectors` is materialized (finite classes), or the
     restriction is stored structurally for interval classes: runs of tie
     groups over the sorted sample, optionally XOR-ed against a target run
     (`fast_path` tags which maximizer applies).
@@ -264,12 +193,6 @@ class SampledRestriction:
             return self.vectors.shape[0]
         m = self.group_count
         return m * (m + 1) // 2 + 1
-
-    def contains_zero_vector(self) -> bool:
-        if self.vectors is not None:
-            return bool(np.any(np.all(self.vectors == 0.0, axis=1)))
-        # empty run (runs path) or run == target run (symdiff path)
-        return True
 
     def materialize(self) -> np.ndarray:
         """Explicit (M, n) vector array, lexicographically sorted.
@@ -337,64 +260,7 @@ def restrict(concept_class: ConceptClass, sample: Sample) -> SampledRestriction:
             vectors=_dedup(concept_class.vectors),
             max_vectors=concept_class.max_vectors,
         )
-    if concept_class.kind == KIND_BOXES:
-        return _restrict_boxes(concept_class, sample)
     raise ValueError(f"unknown class kind {concept_class.kind!r}")
-
-
-def _restrict_boxes(concept_class: ConceptClass, sample: Sample) -> SampledRestriction:
-    """Enumerate box dichotomies via per-dimension runs over cut points."""
-    if sample.dim != concept_class.dim:
-        raise DimensionMismatchError(
-            f"box class of dimension {concept_class.dim} on a sample of "
-            f"dimension {sample.dim}"
-        )
-    per_dim_masks = []
-    budget = 1
-    for k in range(sample.dim):
-        coords = sample.points[:, k]
-        distinct = np.unique(coords)
-        masks = []
-        for i in range(len(distinct)):
-            for j in range(i, len(distinct)):
-                masks.append((coords >= distinct[i]) & (coords <= distinct[j]))
-        per_dim_masks.append(masks)
-        budget *= len(masks)
-        if budget > 4 * concept_class.max_vectors:
-            raise ValueError("box enumeration too large for the vector cap")
-
-    seen = set()
-    rows = [np.zeros(sample.n)]  # empty box
-    seen.add(rows[0].tobytes())
-    stack = [np.ones(sample.n, dtype=bool)]
-    for masks in per_dim_masks:
-        stack = [base & m for base in stack for m in masks]
-    for mask in stack:
-        vec = mask.astype(float)
-        key = vec.tobytes()
-        if key not in seen:
-            seen.add(key)
-            rows.append(vec)
-            if len(rows) > concept_class.max_vectors:
-                raise ValueError("box restriction exceeds the vector cap")
-    return SampledRestriction(
-        n=sample.n,
-        vectors=_dedup(np.array(rows)),
-        max_vectors=concept_class.max_vectors,
-    )
-
-
-def shattering_count(concept_class: ConceptClass, sample: Sample) -> int:
-    """Number of distinct dichotomies the class cuts out of the sample.
-
-    Equals the vector count of the restriction; only defined for 0/1
-    valued classes.
-    """
-    if concept_class.kind == KIND_FINITE:
-        vec = concept_class.vectors
-        if not np.all((vec == 0.0) | (vec == 1.0)):
-            raise ValueError("shattering count needs a {0,1}-valued class")
-    return restrict(concept_class, sample).vector_count
 
 
 def reduce_by_labels(
@@ -412,7 +278,7 @@ def reduce_by_labels(
         )
     if concept_class.kind == KIND_INTERVALS:
         return _reduce_intervals(concept_class, labels, sample)
-    if concept_class.kind in (KIND_FINITE, KIND_BOXES):
+    if concept_class.kind == KIND_FINITE:
         base = restrict(concept_class, sample)
         vectors = base.vectors
         if not np.any(np.all(vectors == labels, axis=1)):
@@ -461,22 +327,6 @@ def _reduce_intervals(
         target_run=target_run,
         max_vectors=concept_class.max_vectors,
     )
-
-
-def reduce_to_zero_target(
-    concept_class: ConceptClass, target: TargetSpec, sample: Sample
-) -> SampledRestriction:
-    """Restriction of {|f - f0|: f in class} for a known target member.
-
-    Every vector is (|f(X_j) - Y_j|)_j; the zero vector is always present
-    because the target belongs to the class.
-    """
-    computed = evaluate_target(target, sample)
-    if not np.array_equal(computed, target.labels):
-        raise InconsistentLabelsError(
-            "target evaluation disagrees with the supplied labels"
-        )
-    return reduce_by_labels(concept_class, target.labels, sample)
 
 
 def load_sample_csv(path, seed: int | None = None) -> Sample:

@@ -456,10 +456,8 @@ def _cmd_oracle(config: RunConfig) -> int:
     opt = config.options
     dist = _parse_dist(opt["dist"])
     sample = draw_sample(dist, opt["n"], opt.get("seed", 0))
-    radii = oracle_sequence(
-        ConceptClass.intervals(), _parse_interval_target(opt["target"]),
-        sample, dist, opt["k_max"],
-    )
+    target = _parse_interval_target(opt["target"])
+    radii = oracle_sequence(target, sample, dist, opt["k_max"])
     rows = [[k, r] for k, r in enumerate(radii)]
     payload = {"config": _echo(config), "radii": radii}
     _emit(config, ["k", "r_k"], rows, payload)

@@ -76,10 +76,11 @@ class RademacherDraw:
 class LocalizationConfig:
     """Parameters of one localization run.
 
-    eps > 0 gives the tail guarantee; eps = 0 is accepted for degenerate
-    closed-form checks but carries no guarantee.  constants_mode picks the
-    (K1, K2, K3) triple: "safe" derives them from the gammas, "unit" is
-    the exploratory (1, 1, 1), "custom" takes a user triple.
+    eps > 0 gives the tail guarantee.  eps = 0 carries no guarantee and
+    fixes no iteration count, so it is accepted only together with an
+    iteration_override (for degenerate closed-form checks).  constants_mode
+    picks the (K1, K2, K3) triple: "safe" derives them from the gammas,
+    "unit" is the exploratory (1, 1, 1), "custom" takes a user triple.
     """
 
     eps: float
@@ -92,6 +93,8 @@ class LocalizationConfig:
     def __post_init__(self):
         if self.eps < 0.0 or not math.isfinite(self.eps):
             raise ValueError("eps must be a finite nonnegative real")
+        if self.eps == 0.0 and self.iteration_override is None:
+            raise ValueError("eps = 0 needs an iteration override")
         if not (0.0 < self.gamma < 1.0) or not (0.0 < self.gamma_prime < 1.0):
             raise ValueError("gamma and gamma_prime must lie in (0, 1)")
         if self.constants_mode not in (CONSTANTS_SAFE, CONSTANTS_UNIT, CONSTANTS_CUSTOM):
@@ -310,17 +313,6 @@ def _window_extremes(values: np.ndarray, lo: np.ndarray) -> tuple[int, int]:
             )
             rise, fall = max(rise, r_k), max(fall, f_k)
     return rise, fall
-
-
-def local_rademacher_norm(
-    restriction: SampledRestriction, draw: RademacherDraw, radius: float
-) -> float:
-    """Sup of |n^{-1} sum_i signs_i v_i| over stored vectors with mean <= radius.
-
-    The radius is the empirical ball radius itself; localization callers
-    pass twice the localization radius.
-    """
-    return LocalNormEvaluator(restriction, draw).norm(radius)
 
 
 def localize(

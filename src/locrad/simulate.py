@@ -180,18 +180,15 @@ def _symdiff_mass(fa, fb, fc, fd, target_mass):
 def true_risk(estimate, target, dist: DistributionSpec) -> float:
     """Exact risk P|f_est - f_tgt| of indicator estimates.
 
-    Supported: interval estimate/target (tuples or None) under a
-    one-dimensional distribution, and box estimate/target under the
-    uniform cube.  For anything else use true_risk_mc.
+    Supported: interval estimate and target (tuples, or None for the
+    empty interval) under a one-dimensional distribution.
     """
     if dist.dim == 1 and _is_interval(estimate) and _is_interval(target):
         fe_lo, fe_hi = _interval_cdfs(estimate, dist)
         ft_lo, ft_hi = _interval_cdfs(target, dist)
         mass_t = max(ft_hi - ft_lo, 0.0)
         return float(_symdiff_mass(fe_lo, fe_hi, ft_lo, ft_hi, mass_t))
-    if dist.kind == "uniform" and _is_box(estimate) and _is_box(target):
-        return _box_symdiff_volume(estimate, target)
-    raise ValueError("no exact risk formula for these arguments; use true_risk_mc")
+    raise ValueError("exact risk needs interval estimate and target on a 1-d distribution")
 
 
 def _is_interval(obj) -> bool:
@@ -208,38 +205,6 @@ def _interval_cdfs(interval, dist) -> tuple[float, float]:
     if lo > hi:
         return 0.0, 0.0
     return float(dist.cdf(lo)), float(dist.cdf(hi))
-
-
-def _is_box(obj) -> bool:
-    return (
-        isinstance(obj, (tuple, list)) and len(obj) == 2
-        and hasattr(obj[0], "__len__")
-    )
-
-
-def _box_symdiff_volume(a, b) -> float:
-    def vol(box):
-        lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
-        return float(np.prod(np.maximum(np.minimum(hi, 1.0) - np.maximum(lo, 0.0), 0.0)))
-
-    lo = np.maximum(np.asarray(a[0], float), np.asarray(b[0], float))
-    hi = np.minimum(np.asarray(a[1], float), np.asarray(b[1], float))
-    inter = float(np.prod(np.maximum(hi - lo, 0.0))) if np.all(lo <= hi) else 0.0
-    return vol(a) + vol(b) - 2.0 * inter
-
-
-def true_risk_mc(
-    estimate_fn, target_fn, dist: DistributionSpec, points: int = 10**6, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo risk for arbitrary pointwise-evaluable functions.
-
-    Returns (estimate, standard error)."""
-    sample = draw_sample(dist, points, seed)
-    values = np.abs(
-        np.asarray(estimate_fn(sample.points), dtype=float)
-        - np.asarray(target_fn(sample.points), dtype=float)
-    )
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(points))
 
 
 def worst_consistent_risk(
@@ -473,7 +438,6 @@ def interval_deviation_scan(sample: Sample, dist: DistributionSpec) -> float:
 
 
 def oracle_sequence(
-    concept_class: ConceptClass,
     target: tuple[float, float] | None,
     sample: Sample,
     dist: DistributionSpec,
@@ -482,12 +446,9 @@ def oracle_sequence(
     """Oracle radii r_0 = 1, r_{k+1} = sup |P_n - P| over {g: Pg <= r_k}.
 
     The sequence is nonincreasing and every term dominates the risk of
-    every consistent estimate.  Exact for interval classes under a known
+    every consistent estimate.  Exact for the interval class under a known
     one-dimensional distribution.
     """
-    if concept_class.kind != "intervals":
-        raise ValueError("exact oracle sequence needs the interval class; "
-                         "use oracle_sequence_explicit for finite classes")
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     table = IntervalSymdiffTable(sample, target, dist)
@@ -495,22 +456,6 @@ def oracle_sequence(
     r = 1.0
     for _ in range(k_max):
         r = table.sup_deviation(r)
-        radii.append(r)
-    return radii
-
-
-def oracle_sequence_explicit(vectors, true_means, k_max: int) -> list[float]:
-    """Oracle radii for an explicit finite reduced class with known means."""
-    vectors = np.asarray(vectors, dtype=float)
-    means_true = np.asarray(true_means, dtype=float)
-    if vectors.shape[0] != len(means_true):
-        raise ValueError("one true mean per vector required")
-    emp = vectors.mean(axis=1)
-    radii = [1.0]
-    r = 1.0
-    for _ in range(k_max):
-        mask = means_true <= r
-        r = float(np.abs(emp[mask] - means_true[mask]).max()) if mask.any() else 0.0
         radii.append(r)
     return radii
 
@@ -725,8 +670,9 @@ def run_rates(
 
     eps defaults to 2 ln(n) / n per grid point, keeping the epsilon terms
     at the 1/n scale so they do not mask the Rademacher term.  The target
-    defaults to the empty interval.  A finite class may be supplied instead
-    via finite_vectors; its first row is used as the target labels.
+    defaults to the empty interval.  A finite class of constant functions
+    may be supplied instead as finite_vectors, a 2-d array with one column
+    tiled to every grid size; its first row is used as the target labels.
     """
     from .entropy import rate_exponent_fit
 
@@ -739,11 +685,10 @@ def run_rates(
         raise ValueError("need at least one replication per grid point")
     if finite_vectors is not None:
         finite_vectors = np.asarray(finite_vectors, dtype=float)
-        columns = finite_vectors.shape[1] if finite_vectors.ndim == 2 else None
-        if columns != 1 and any(n != columns for n in n_grid):
+        if finite_vectors.ndim != 2 or finite_vectors.shape[1] != 1:
             raise ValueError(
-                "finite rate classes need single-column (constant) "
-                "vectors or vectors matching every grid size"
+                "finite rate classes need a 2-d array with one column "
+                f"(constant functions), got shape {finite_vectors.shape}"
             )
     dist = dist if dist is not None else DistributionSpec.uniform(1)
     workers = workers if workers is not None else _env_workers()
@@ -752,9 +697,7 @@ def run_rates(
     per_n = []
     for n in n_grid:
         point_eps = eps if eps is not None else 2.0 * math.log(n) / n
-        vectors = finite_vectors
-        if vectors is not None and vectors.shape[1] == 1:
-            vectors = np.tile(vectors, (1, n))  # constant functions, broadcast to n points
+        vectors = None if finite_vectors is None else np.tile(finite_vectors, (1, n))
         bound_kwargs = dict(
             eps=point_eps, gamma=gamma, gamma_prime=gamma_prime,
             constants_mode=constants_mode, custom_constants=custom_constants,

@@ -59,7 +59,7 @@ def test_criterion_01_oracle_equivalence():
         restriction, n = _random_restriction(rng)
         draw = L.RademacherDraw.from_seed(int(rng.integers(2 ** 31)), n)
         radius = float(rng.random() * 1.3)
-        got = L.local_rademacher_norm(restriction, draw, radius)
+        got = L.LocalNormEvaluator(restriction, draw).norm(radius)
         want = brute_local_norm(restriction.materialize(), draw.signs, radius)
         worst = max(worst, abs(got - want))
     ok = worst <= 1e-12
@@ -106,7 +106,7 @@ def test_criterion_03_oracle_dominates_learners():
         lo = float(rng.uniform(0.0, 1.0 - width))
         target = (lo, lo + width)
         labels = L.interval_labels(target, sample)
-        radii = L.oracle_sequence(L.ConceptClass.intervals(), target, sample, UNIFORM, 6)
+        radii = L.oracle_sequence(target, sample, UNIFORM, 6)
         risk_min = L.true_risk(L.minimal_interval_learner(sample, labels), target, UNIFORM)
         risk_worst, _ = L.worst_consistent_risk(sample, labels, target, UNIFORM)
         if any(b > a for a, b in zip(radii, radii[1:])):

@@ -6,13 +6,11 @@ from locrad.classes import (
     DimensionMismatchError,
     InconsistentLabelsError,
     Sample,
-    TargetSpec,
     reduce_by_labels,
-    reduce_to_zero_target,
     restrict,
-    shattering_count,
     sorted_groups,
 )
+from locrad.simulate import interval_labels
 
 from conftest import brute_interval_dichotomies
 
@@ -55,6 +53,7 @@ def test_restrict_intervals_matches_brute_force(n, rng):
     got = {v.tobytes() for v in r.materialize()}
     assert got == brute_interval_dichotomies(pts)
     assert r.vector_count == len(got)
+    assert r.vector_count == n * (n + 1) // 2 + 1
 
 
 def test_restrict_finite_all_zero():
@@ -83,36 +82,6 @@ def test_restrict_dimension_mismatch():
     s2d = Sample(points=np.array([[0.1, 0.2]]))
     with pytest.raises(DimensionMismatchError):
         restrict(ConceptClass.intervals(), s2d)
-    with pytest.raises(DimensionMismatchError):
-        restrict(ConceptClass.boxes(3), s2d)
-
-
-def test_restrict_boxes_two_points():
-    s = Sample(points=np.array([[0.2, 0.3], [0.7, 0.8]]))
-    r = restrict(ConceptClass.boxes(2), s)
-    assert r.vector_count == 4
-    got = {tuple(v) for v in r.materialize()}
-    assert got == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
-
-
-def test_restrict_boxes_matches_subset_oracle(rng):
-    # boxes in d=2 realize a subset iff it equals the set of points inside
-    # its own bounding box
-    pts = rng.random((6, 2))
-    s = Sample(points=pts)
-    got = {v.tobytes() for v in restrict(ConceptClass.boxes(2), s).materialize()}
-    want = set()
-    for mask in range(2 ** 6):
-        chosen = np.array([(mask >> i) & 1 for i in range(6)], dtype=bool)
-        if not chosen.any():
-            want.add(np.zeros(6).tobytes())
-            continue
-        lo = pts[chosen].min(axis=0)
-        hi = pts[chosen].max(axis=0)
-        inside = np.all((pts >= lo) & (pts <= hi), axis=1)
-        if np.array_equal(inside, chosen):
-            want.add(chosen.astype(float).tobytes())
-    assert got == want
 
 
 def test_restrict_idempotent_on_finite():
@@ -122,40 +91,9 @@ def test_restrict_idempotent_on_finite():
     assert np.array_equal(again.materialize(), base)
 
 
-def test_shattering_count_intervals():
-    s = Sample(points=[0.1, 0.2, 0.3])
-    assert shattering_count(ConceptClass.intervals(), s) == 7
-
-
-def test_shattering_count_singleton():
-    s = Sample(points=[0.1, 0.2, 0.3])
-    cls = ConceptClass.finite(np.zeros((1, 3)))
-    assert shattering_count(cls, s) == 1
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_shattering_closed_form(n, rng):
-    pts = np.unique(rng.random(n))
-    while len(pts) < n:
-        pts = np.unique(rng.random(n))
-    s = Sample(points=pts)
-    count = shattering_count(ConceptClass.intervals(), s)
-    assert count == n * (n + 1) // 2 + 1
-    assert count == len(brute_interval_dichotomies(pts))
-    assert count <= 2 ** n
-
-
-def test_shattering_rejects_non_binary():
-    s = Sample(points=[0.1, 0.2])
-    cls = ConceptClass.finite([[0.5, 0.0]])
-    with pytest.raises(ValueError):
-        shattering_count(cls, s)
-
-
 def test_reduce_empty_target_is_restrict():
     s = Sample(points=[0.15, 0.55, 0.8, 0.3])
-    target = TargetSpec.empty_interval(s)
-    reduced = reduce_to_zero_target(ConceptClass.intervals(), target, s)
+    reduced = reduce_by_labels(ConceptClass.intervals(), interval_labels(None, s), s)
     base = restrict(ConceptClass.intervals(), s)
     assert np.array_equal(reduced.materialize(), base.materialize())
 
@@ -164,7 +102,7 @@ def test_reduce_singleton_to_zero():
     s = Sample(points=[0.1, 0.9])
     v = np.array([[0.25, 0.75]])
     cls = ConceptClass.finite(v)
-    reduced = reduce_to_zero_target(cls, TargetSpec.from_vector(v[0]), s)
+    reduced = reduce_by_labels(cls, v[0], s)
     assert np.array_equal(reduced.materialize(), np.zeros((1, 2)))
 
 
@@ -172,12 +110,12 @@ def test_reduce_interval_target_point_values():
     # points (0.1, 0.2, 0.3), target [0.15, 0.25], candidate [0.1, 0.3]
     # evaluates to |1 - 0| at the outer points and |1 - 1| at the middle
     s = Sample(points=[0.1, 0.2, 0.3])
-    target = TargetSpec.from_interval(s, 0.15, 0.25)
-    assert np.array_equal(target.labels, [0.0, 1.0, 0.0])
-    reduced = reduce_to_zero_target(ConceptClass.intervals(), target, s)
+    labels = interval_labels((0.15, 0.25), s)
+    assert np.array_equal(labels, [0.0, 1.0, 0.0])
+    reduced = reduce_by_labels(ConceptClass.intervals(), labels, s)
     mat = reduced.materialize()
     assert any(np.array_equal(row, [1.0, 0.0, 1.0]) for row in mat)
-    assert reduced.contains_zero_vector()
+    assert np.all(mat == 0.0, axis=1).any()
 
 
 def test_reduce_matches_elementwise_abs_difference(rng):
@@ -185,10 +123,10 @@ def test_reduce_matches_elementwise_abs_difference(rng):
     pts = rng.random(9)
     s = Sample(points=pts)
     lo, hi = np.sort(rng.random(2))
-    target = TargetSpec.from_interval(s, lo, hi)
-    reduced = reduce_to_zero_target(ConceptClass.intervals(), target, s)
+    labels = interval_labels((lo, hi), s)
+    reduced = reduce_by_labels(ConceptClass.intervals(), labels, s)
     base = restrict(ConceptClass.intervals(), s).materialize()
-    want = np.unique(np.abs(base - target.labels), axis=0)
+    want = np.unique(np.abs(base - labels), axis=0)
     assert np.array_equal(reduced.materialize(), want)
 
 
@@ -210,19 +148,11 @@ def test_reduce_rejects_foreign_labels():
         reduce_by_labels(cls, [1.0, 0.0, 0.0], s)
 
 
-def test_reduce_rejects_target_label_mismatch():
-    s = Sample(points=[0.1, 0.2, 0.3])
-    bad = TargetSpec(kind="interval", labels=np.array([1.0, 1.0, 0.0]),
-                     interval=(0.15, 0.25))
-    with pytest.raises(InconsistentLabelsError):
-        reduce_to_zero_target(ConceptClass.intervals(), bad, s)
-
-
 def test_reduce_with_tied_points():
     s = Sample(points=[0.2, 0.2, 0.5])
     labels = np.array([1.0, 1.0, 0.0])
     reduced = reduce_by_labels(ConceptClass.intervals(), labels, s)
-    assert reduced.contains_zero_vector()
+    assert np.all(reduced.materialize() == 0.0, axis=1).any()
     with pytest.raises(InconsistentLabelsError):
         reduce_by_labels(ConceptClass.intervals(), [1.0, 0.0, 0.0], s)
 

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from locrad.cli import RunConfig, UsageError, execute, main, parse_config
+from locrad.rademacher import RademacherDraw
+
+from conftest import brute_local_norm
 
 
 def run(args):
@@ -118,6 +121,30 @@ def test_bound_finite_class(tmp_path):
                 "--sample-csv", str(sample_csv), "--target", "0",
                 "--eps", "0.1", "--out", str(out), "--format", "json"])
     assert code == 0
+
+
+def test_bound_finite_class_two_column_sample(tmp_path):
+    rng = np.random.default_rng(12)
+    points = rng.random((10, 2))
+    vectors = np.vstack([np.zeros(10), (rng.random((5, 10)) < 0.4).astype(float),
+                         rng.random((2, 10))])
+    sample_csv = tmp_path / "pts.csv"
+    np.savetxt(sample_csv, points, delimiter=",", fmt="%.17g")
+    class_csv = tmp_path / "cls.csv"
+    np.savetxt(class_csv, vectors, delimiter=",", fmt="%.17g")
+    out = tmp_path / "b.json"
+    code = run(["bound", "--class", "finite", "--class-csv", str(class_csv),
+                "--sample-csv", str(sample_csv), "--target", "2", "--seed", "5",
+                "--eps", "0.01", "--constants", "unit", "--iterations", "3",
+                "--out", str(out), "--format", "json"])
+    assert code == 0
+    trace = json.loads(out.read_text())["trace"]
+    reduced = np.unique(np.abs(vectors - vectors[2]), axis=0)
+    signs = RademacherDraw.from_seed(5, 10).signs
+    assert len(trace) == 4 and trace[-1]["local_norm"] is None
+    for step in trace[:-1]:
+        want = brute_local_norm(reduced, signs, 2.0 * step["r_bar"])
+        assert step["local_norm"] == pytest.approx(want, abs=1e-15)
 
 
 def test_coverage_outputs_and_exit(tmp_path):

@@ -18,10 +18,10 @@ from locrad.rademacher import (
     ITERATION_CAP,
     BoundTrace,
     LocalizationConfig,
+    LocalNormEvaluator,
     RademacherDraw,
     constants_from_gammas,
     default_iterations,
-    local_rademacher_norm,
     localize,
     _IntervalKernel,
     risk_bound,
@@ -107,15 +107,16 @@ def test_config_iterations_is_the_whole_rule():
 # ------------------------------------------------------------- local norm
 
 def test_norm_zero_restriction():
-    assert local_rademacher_norm(ZERO_ONLY, draw(0, 4), 0.7) == 0.0
+    assert LocalNormEvaluator(ZERO_ONLY, draw(0, 4)).norm(0.7) == 0.0
 
 
 def test_norm_full_ball_equals_unconstrained(rng):
     vectors = np.unique(rng.random((15, 6)), axis=0)
     r = SampledRestriction(n=6, vectors=vectors)
     d = draw(5, 6)
-    full = local_rademacher_norm(r, d, 1.0)
-    assert local_rademacher_norm(r, d, 2.0) == full
+    ev = LocalNormEvaluator(r, d)
+    full = ev.norm(1.0)
+    assert ev.norm(2.0) == full
     assert full == pytest.approx(brute_local_norm(vectors, d.signs, 1.0), abs=0)
 
 
@@ -125,20 +126,20 @@ def test_norm_interval_window_example():
     s = Sample(points=[0.1, 0.3, 0.5, 0.7])
     r = restrict(ConceptClass.intervals(), s)
     d = RademacherDraw(signs=np.array([1, -1, 1, -1]))
-    assert local_rademacher_norm(r, d, 0.5) == 0.25
+    assert LocalNormEvaluator(r, d).norm(0.5) == 0.25
 
 
 def test_norm_empty_ball_is_zero(rng):
     vectors = np.clip(rng.random((5, 4)) + 0.5, 0.0, 1.0)
     r = SampledRestriction(n=4, vectors=np.unique(vectors, axis=0))
-    assert local_rademacher_norm(r, draw(1, 4), 0.0) == 0.0
+    assert LocalNormEvaluator(r, draw(1, 4)).norm(0.0) == 0.0
 
 
 def test_norm_errors():
     with pytest.raises(ValueError):
-        local_rademacher_norm(ZERO_ONLY, draw(0, 3), 0.5)
+        LocalNormEvaluator(ZERO_ONLY, draw(0, 3)).norm(0.5)
     with pytest.raises(ValueError):
-        local_rademacher_norm(ZERO_ONLY, draw(0, 4), -0.1)
+        LocalNormEvaluator(ZERO_ONLY, draw(0, 4)).norm(-0.1)
 
 
 def test_norm_monotone_in_radius(rng):
@@ -150,7 +151,8 @@ def test_norm_monotone_in_radius(rng):
         s,
     )
     d = draw(11, 30)
-    values = [local_rademacher_norm(red, d, r) for r in np.linspace(0.0, 1.0, 21)]
+    ev = LocalNormEvaluator(red, d)
+    values = [ev.norm(r) for r in np.linspace(0.0, 1.0, 21)]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert all(v <= values[-1] for v in values)
 
@@ -175,7 +177,7 @@ def test_norm_matches_brute_force_per_path(kind, rng):
             red = restrict(ConceptClass.intervals(), s)
         d = draw(int(rng.integers(0, 2 ** 31)), n)
         radius = float(rng.random() * 1.2)
-        got = local_rademacher_norm(red, d, radius)
+        got = LocalNormEvaluator(red, d).norm(radius)
         want = brute_local_norm(red.materialize(), d.signs, radius)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -260,6 +262,11 @@ def test_localize_clamps_at_one(rng):
     assert all(v == 1.0 for v in trace.values)
 
 
+def test_config_eps_zero_needs_override():
+    with pytest.raises(ValueError):
+        LocalizationConfig(eps=0.0)
+
+
 def test_localize_unit_eps_zero():
     cfg = LocalizationConfig(eps=0.0, constants_mode="unit", iteration_override=3)
     trace = localize(ZERO_ONLY, draw(0, 4), cfg)
@@ -275,7 +282,7 @@ def test_localize_records_norms(rng):
     trace = localize(red, d, cfg)
     assert len(trace.local_norms) == 4
     for k, nu in enumerate(trace.local_norms):
-        assert nu == local_rademacher_norm(red, d, 2 * trace.values[k])
+        assert nu == LocalNormEvaluator(red, d).norm(2 * trace.values[k])
         # the unit-constant step: norm + sqrt(r eps) + eps, clamped at 1
         r = trace.values[k]
         assert trace.values[k + 1] == min(nu + math.sqrt(r * 0.01) + 0.01, 1.0)

@@ -92,23 +92,8 @@ def test_true_risk_examples():
     assert L.true_risk((0.0, 0.25), (0.0, 0.5), dist) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_true_risk_disjoint_and_boxes():
+def test_true_risk_disjoint():
     assert L.true_risk((0.0, 0.2), (0.8, 1.0), UNIFORM) == pytest.approx(0.4, rel=1e-12)
-    cube = L.DistributionSpec.uniform(2)
-    est = (np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-    tgt = (np.array([0.25, 0.0]), np.array([0.75, 0.5]))
-    # vol 0.25 each, overlap 0.125
-    assert L.true_risk(est, tgt, cube) == pytest.approx(0.25, rel=1e-12)
-
-
-def test_true_risk_mc_matches_exact():
-    value, se = L.true_risk_mc(
-        lambda pts: ((pts[:, 0] >= 0.3) & (pts[:, 0] <= 0.7)).astype(float),
-        lambda pts: ((pts[:, 0] >= 0.2) & (pts[:, 0] <= 0.8)).astype(float),
-        UNIFORM, points=200_000, seed=9,
-    )
-    assert value == pytest.approx(0.2, abs=5 * se)
-    assert 0.0 < se < 0.01
 
 
 def test_worst_consistent_dominates_minimal(rng):
@@ -223,17 +208,12 @@ def test_table_cap():
 
 # ----------------------------------------------------------------- oracle
 
-def test_oracle_zero_class():
-    radii = L.oracle_sequence_explicit(np.zeros((1, 6)), [0.0], 4)
-    assert radii == [1.0, 0.0, 0.0, 0.0, 0.0]
-
-
 def test_oracle_monotone_and_dominates(rng):
     for trial in range(10):
         s = L.draw_sample(UNIFORM, 200, 40 + trial)
         target = tuple(np.sort(rng.random(2)))
         labels = L.interval_labels(target, s)
-        radii = L.oracle_sequence(L.ConceptClass.intervals(), target, s, UNIFORM, 6)
+        radii = L.oracle_sequence(target, s, UNIFORM, 6)
         assert radii[0] == 1.0
         assert all(b <= a for a, b in zip(radii, radii[1:]))
         risk_min = L.true_risk(L.minimal_interval_learner(s, labels), target, UNIFORM)
@@ -252,27 +232,6 @@ def test_oracle_first_step_decreases_with_n():
         ]
         medians.append(float(np.median(vals)))
     assert medians[0] > medians[1] > medians[2]
-
-
-def test_oracle_explicit_matches_finite_subclass(rng):
-    # freeze a finite set of interval dichotomies with exact means and
-    # compare the generic explicit oracle against hand recursion
-    vectors = np.array([
-        [0.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0],
-        [1.0, 1.0, 0.0],
-        [1.0, 1.0, 1.0],
-    ])
-    means = np.array([0.0, 0.25, 0.5, 0.9])
-    radii = L.oracle_sequence_explicit(vectors, means, 3)
-    r = 1.0
-    want = [1.0]
-    emp = vectors.mean(axis=1)
-    for _ in range(3):
-        mask = means <= r
-        r = float(np.abs(emp[mask] - means[mask]).max())
-        want.append(r)
-    assert radii == want
 
 
 # ------------------------------------------------------------ experiments
@@ -467,9 +426,9 @@ def test_env_thread_cap_clamps_to_cpu_count(monkeypatch):
 
 def test_oracle_k_max_zero():
     s = L.draw_sample(UNIFORM, 50, 8)
-    assert L.oracle_sequence(L.ConceptClass.intervals(), (0.2, 0.8), s, UNIFORM, 0) == [1.0]
+    assert L.oracle_sequence((0.2, 0.8), s, UNIFORM, 0) == [1.0]
     with pytest.raises(ValueError):
-        L.oracle_sequence(L.ConceptClass.intervals(), (0.2, 0.8), s, UNIFORM, -1)
+        L.oracle_sequence((0.2, 0.8), s, UNIFORM, -1)
 
 
 def test_rates_rejects_bad_finite_vectors():
